@@ -1,14 +1,10 @@
 //! Class metadata: fields, static slots, and the modeled class-file size
 //! that drives class-loading cost in the runtime.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{MethodId, Ty};
 
 /// Index of a class within a [`Program`](crate::Program).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClassId(pub u16);
 
 impl std::fmt::Display for ClassId {
@@ -18,7 +14,7 @@ impl std::fmt::Display for ClassId {
 }
 
 /// An instance field declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldDef {
     name: String,
     ty: Ty,
@@ -49,7 +45,7 @@ impl FieldDef {
 /// Statics live in a single program-wide table (as if every class's statics
 /// were interned into one runtime area); reference-typed slots are garbage
 /// collection roots.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaticDef {
     name: String,
     ty: Ty,
@@ -82,7 +78,7 @@ impl StaticDef {
 /// free) and Kaffe (every class, including system classes, is loaded lazily
 /// at runtime — the reason the class loader dominates Kaffe's energy on the
 /// PXA255 in the paper's Figure 11).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Class {
     id: ClassId,
     name: String,

@@ -1,13 +1,9 @@
 //! Method metadata and code bodies.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ClassId, Op};
 
 /// Program-wide method identifier.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MethodId(pub u32);
 
 impl std::fmt::Display for MethodId {
@@ -22,7 +18,7 @@ impl std::fmt::Display for MethodId {
 /// compilation-cost model of the runtime's baseline, optimizing and JIT
 /// compilers, exactly as real compile time scales with method size in Jikes
 /// RVM's cost/benefit model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Method {
     id: MethodId,
     class: ClassId,

@@ -1,11 +1,9 @@
 //! The instruction set of the vmprobe stack machine.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ClassId, MethodId};
 
 /// Primitive type of a field, static slot or local variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ty {
     /// 64-bit signed integer.
     Int,
@@ -26,7 +24,7 @@ impl Ty {
 }
 
 /// Element kind of an array object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrKind {
     /// Array of 64-bit integers.
     Int,
@@ -55,7 +53,7 @@ impl ArrKind {
 /// multi-cycle latency for each (and on the PXA255, which has no FPU, a large
 /// software-emulation cost — the mechanism behind the XScale power inversion
 /// in the paper's Section VI-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MathFn {
     /// Square root.
     Sqrt,
@@ -78,7 +76,7 @@ pub enum MathFn {
 /// Control-flow targets (`Jump`, `BrTrue`, `BrFalse`) are absolute indices
 /// into the owning method's code vector, validated by
 /// [`verify_method`](crate::verify_method).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     // ---- constants and stack shuffling ----
     /// Push an integer constant.

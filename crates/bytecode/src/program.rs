@@ -1,7 +1,5 @@
 //! A complete verified program: classes, methods, statics and an entry point.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Class, ClassId, Method, MethodId, Op, StaticDef};
 
 /// An immutable, verified program ready for execution by the runtime.
@@ -9,7 +7,7 @@ use crate::{Class, ClassId, Method, MethodId, Op, StaticDef};
 /// Produced by [`ProgramBuilder::finish`](crate::ProgramBuilder::finish),
 /// which runs the verifier over every method. Indexing by [`ClassId`] /
 /// [`MethodId`] is infallible for ids minted by the same builder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     classes: Vec<Class>,
     methods: Vec<Method>,

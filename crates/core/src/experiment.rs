@@ -3,7 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use vmprobe_heap::{CollectorKind, GcStats};
 use vmprobe_platform::PlatformKind;
 use vmprobe_power::{ComponentId, DetRng, FaultPlan, PowerSample, ProbeSpec, Report};
@@ -13,7 +12,7 @@ use vmprobe_workloads::{benchmark, InputScale};
 use crate::scale::heap_bytes;
 
 /// Which virtual machine an experiment runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VmChoice {
     /// Jikes RVM with the given MMTk collector.
     Jikes(CollectorKind),
@@ -31,7 +30,7 @@ impl fmt::Display for VmChoice {
 }
 
 /// One point in the paper's experimental space.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ExperimentConfig {
     /// Benchmark name (see [`vmprobe_workloads::all_benchmarks`]).
     pub benchmark: String,
@@ -62,7 +61,6 @@ pub struct ExperimentConfig {
     /// any other value re-times or perturbs the measurement, so non-default
     /// specs mark [`Self::key`] (but never [`Self::fault_key`]: observing
     /// differently must not reseed injected-fault streams).
-    #[serde(default)]
     pub probe: ProbeSpec,
 }
 
@@ -332,7 +330,7 @@ impl Error for ExperimentError {
 }
 
 /// Everything one run produced.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunSummary {
     /// The configuration that ran.
     pub config: ExperimentConfig,

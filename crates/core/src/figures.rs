@@ -2,8 +2,8 @@
 //! evaluation (Section VI), one entry point per artifact.
 //!
 //! Each function returns a typed data structure that also implements
-//! [`Display`](std::fmt::Display) so the `figures` binary (and the
-//! criterion benches) can print the same rows/series the paper reports.
+//! [`Display`](std::fmt::Display) so `vmprobe-run <artifact…>` can print
+//! the same rows/series the paper reports.
 //! Absolute values differ from the paper's silicon — the substrate here is
 //! a calibrated simulator — but the *shapes* (who wins, by what factor,
 //! where crossovers fall) are the reproduction target; `EXPERIMENTS.md`
@@ -12,7 +12,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::Serialize;
 use vmprobe_heap::CollectorKind;
 use vmprobe_power::{ComponentId, ThermalConfig, ThermalSim, Watts};
 use vmprobe_workloads::{all_benchmarks, pxa255_benchmarks, suite_benchmarks, Suite};
@@ -74,7 +73,7 @@ fn pct(v: f64) -> String {
 // ---------------------------------------------------------------- Figure 1
 
 /// One sample of the thermal trace.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ThermalPoint {
     /// Elapsed seconds.
     pub t_s: f64,
@@ -86,7 +85,7 @@ pub struct ThermalPoint {
 
 /// Figure 1: processor temperature under repetitive `_222_mpegaudio` with
 /// the fan enabled vs disabled, including the 99 °C emergency throttle.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1 {
     /// Average chip power of the underlying run, in watts.
     pub run_power_w: f64,
@@ -193,7 +192,7 @@ impl fmt::Display for Fig1 {
 // ---------------------------------------------------------------- Figure 5
 
 /// Figure 5: the benchmark inventory.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5 {
     /// (suite, name, description, modeled alloc bytes, modeled live bytes).
     pub rows: Vec<(String, String, String, u64, u64)>,
@@ -243,7 +242,7 @@ impl fmt::Display for Fig5 {
 // ---------------------------------------------------------------- Figure 6
 
 /// One energy-decomposition bar.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BreakdownRow {
     /// Benchmark name.
     pub benchmark: String,
@@ -258,7 +257,7 @@ pub struct BreakdownRow {
 }
 
 /// Figure 6: per-component energy decomposition under Jikes + SemiSpace.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6 {
     /// All bars, benchmark-major then heap order.
     pub rows: Vec<BreakdownRow>,
@@ -349,7 +348,7 @@ impl fmt::Display for Fig6 {
 // ---------------------------------------------------------------- Figure 7
 
 /// EDP of one benchmark under one collector across heaps.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EdpCurve {
     /// Benchmark name.
     pub benchmark: String,
@@ -361,7 +360,7 @@ pub struct EdpCurve {
 
 /// Figure 7: energy-delay product vs heap size for the four Jikes
 /// collectors.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7 {
     /// One curve per (benchmark, collector).
     pub curves: Vec<EdpCurve>,
@@ -466,7 +465,7 @@ impl fmt::Display for Fig7 {
 // ---------------------------------------------------------------- Figure 8
 
 /// Average and peak power of one component for one benchmark.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PowerRow {
     /// Benchmark name.
     pub benchmark: String,
@@ -476,7 +475,7 @@ pub struct PowerRow {
 
 /// Figure 8: average (top) and peak (bottom) power per component under
 /// GenCopy, aggregated across the heap sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8 {
     /// One row per benchmark.
     pub rows: Vec<PowerRow>,
@@ -574,7 +573,7 @@ impl fmt::Display for Fig8 {
 // ------------------------------------------------------- Figures 9 and 10
 
 /// Figure 9: Kaffe energy distribution on the P6 platform.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9 {
     /// One bar per (benchmark, heap).
     pub rows: Vec<BreakdownRow>,
@@ -638,7 +637,7 @@ impl fmt::Display for Fig9 {
 }
 
 /// Figure 10: Kaffe energy-delay product vs heap on the P6.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10 {
     /// One curve per benchmark.
     pub curves: Vec<EdpCurve>,
@@ -718,7 +717,7 @@ impl fmt::Display for Fig10 {
 // --------------------------------------------------------------- Figure 11
 
 /// Figure 11: Kaffe on the PXA255 (five SpecJVM98 benchmarks, `-s10`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11 {
     /// One bar per (benchmark, heap).
     pub rows: Vec<BreakdownRow>,
@@ -792,7 +791,7 @@ impl fmt::Display for Fig11 {
 // ------------------------------------------------------------ Tables T1-T5
 
 /// T1 (§VI-C in-text): average GC power per collector over SpecJVM98.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct T1CollectorPower {
     /// `(collector, average GC watts)`.
     pub rows: Vec<(CollectorKind, f64)>,
@@ -854,7 +853,7 @@ impl fmt::Display for T1CollectorPower {
 }
 
 /// T2 (§VI-C in-text): per-component IPC and L2 miss rate (GenCopy).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct T2L2Ipc {
     /// `(component, suite, ipc, l2 miss rate)`.
     pub rows: Vec<(ComponentId, Suite, f64, f64)>,
@@ -946,7 +945,7 @@ impl fmt::Display for T2L2Ipc {
 }
 
 /// T3 (§VI-B in-text): memory energy as a share of total energy, per suite.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct T3MemoryEnergy {
     /// `(suite, memory energy fraction)`.
     pub rows: Vec<(Suite, f64)>,
@@ -999,7 +998,7 @@ impl fmt::Display for T3MemoryEnergy {
 }
 
 /// T4 (§VI-A/B in-text): the paper's headline numbers.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct T4Headlines {
     /// Maximum JVM energy fraction and where it occurs (paper: 60%,
     /// `_213_javac` @ 32 MB).
@@ -1172,7 +1171,7 @@ impl fmt::Display for T4Headlines {
 }
 
 /// T5 (§VI-D/E in-text): Kaffe component shares and PXA255 power.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct T5Kaffe {
     /// P6 average fractions `(GC, CL, JIT)` (paper: 7%, 1%, <1%).
     pub p6_fractions: (f64, f64, f64),

@@ -117,7 +117,7 @@ struct ExecutionRecord {
 }
 
 /// One cell a tolerant figure sweep could not fill.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailedCell {
     /// Benchmark name.
     pub benchmark: String,
@@ -151,7 +151,7 @@ impl std::fmt::Display for FailedCell {
 }
 
 /// A configuration the runner refuses to execute again.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct QuarantinedConfig {
     /// Rendered configuration.
     pub config: String,
@@ -165,7 +165,7 @@ pub struct QuarantinedConfig {
 
 /// Machine-readable account of a measurement campaign: what ran, what was
 /// retried, what was quarantined, and every injected fault.
-#[derive(Debug, Clone, Default, serde::Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Distinct configurations that completed successfully.
     pub runs_ok: u64,

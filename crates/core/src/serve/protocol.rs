@@ -1,276 +1,25 @@
 //! Wire protocol for the serving daemon: line-delimited JSON.
 //!
 //! Every request and every response is exactly one `\n`-terminated JSON
-//! object. The build is fully offline, so this module carries both sides
-//! by hand: a minimal recursive-descent JSON *parser* (the crate's
-//! [`JsonObj`] emitter only writes) and the typed request/response/error
-//! vocabulary documented in `DESIGN.md` §13.
-//!
-//! The parser accepts strictly what the daemon needs — objects, arrays,
-//! strings with the standard escapes, finite numbers, booleans and null —
-//! and rejects everything else with a message suitable for a `bad_json`
-//! error line. Nesting is capped so a hostile request cannot overflow the
-//! reader thread's stack.
+//! object, read with [`json::parse`] and written with [`JsonObj`] (the
+//! workspace's one codec, in `vmprobe-telemetry`). This module holds the
+//! typed request/response/error vocabulary documented in `DESIGN.md` §13.
+//! A line the parser rejects — including one nested deeper than
+//! [`json::MAX_DEPTH`] — is answered with a `bad_json` error line.
 
 use vmprobe_heap::CollectorKind;
 use vmprobe_platform::PlatformKind;
 use vmprobe_power::{EnergyPerturbation, FaultPlan};
 use vmprobe_workloads::InputScale;
 
-use crate::json::JsonObj;
+use crate::json::{self, JsonObj, JsonValue};
 use crate::{
     DiffOptions, ExperimentConfig, ExperimentError, ObserveReport, RegressionReport, RunSummary,
     VmChoice,
 };
 
-/// Maximum JSON nesting depth a request may use.
-const MAX_DEPTH: usize = 32;
 /// Maximum request line length in bytes (longer lines are `bad_request`).
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, in source order (duplicate keys keep the last value).
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Parse one complete JSON value; trailing non-whitespace is an error.
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup (last occurrence wins, like serde_json).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, if it is one exactly.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<JsonValue, String> {
-        if depth > MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH}"));
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.lit("true", JsonValue::Bool(true)),
-            Some(b'f') => self.lit("false", JsonValue::Bool(false)),
-            Some(b'n') => self.lit("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<JsonValue, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<JsonValue, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            // Surrogates are rejected rather than paired:
-                            // request fields are ASCII identifiers in
-                            // practice, and a typed error beats silent
-                            // mojibake.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or(format!("\\u{hex} is not a scalar value"))?,
-                            );
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input arrived as &str, so
-                    // the byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    if (c as u32) < 0x20 {
-                        return Err("raw control character in string".into());
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        // Every byte consumed above is ASCII, but a typed error keeps the
-        // parser panic-free on arbitrary tenant input by construction.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("bad number at byte {start}"))?;
-        let n: f64 = text
-            .parse()
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))?;
-        if !n.is_finite() {
-            return Err(format!("non-finite number '{text}'"));
-        }
-        Ok(JsonValue::Num(n))
-    }
-}
 
 /// The daemon's error taxonomy. Every refused or failed request renders to
 /// one error line carrying the stable `code` string below — clients branch
@@ -421,7 +170,7 @@ pub fn parse_request(line: &str) -> Result<Request, (ErrorCode, String)> {
             format!("request line exceeds {MAX_LINE_BYTES} bytes"),
         ));
     }
-    let v = JsonValue::parse(line).map_err(|e| (ErrorCode::BadJson, e))?;
+    let v = json::parse(line).map_err(|e| (ErrorCode::BadJson, e))?;
     let op = v
         .get("op")
         .and_then(JsonValue::as_str)
@@ -571,8 +320,10 @@ fn parse_diff(v: &JsonValue) -> Result<DiffRequest, (ErrorCode, String)> {
     }
     match v.get("confidence") {
         None | Some(JsonValue::Null) => {}
-        Some(JsonValue::Num(c)) if *c > 0.0 && *c < 1.0 => options.confidence = *c,
-        Some(_) => return Err(bad("'confidence' must be a number in (0, 1)".into())),
+        Some(c) => match c.as_f64() {
+            Some(c) if c > 0.0 && c < 1.0 => options.confidence = c,
+            _ => return Err(bad("'confidence' must be a number in (0, 1)".into())),
+        },
     }
     let perturb = match v.get("perturb") {
         None | Some(JsonValue::Null) => EnergyPerturbation::none(),
@@ -728,63 +479,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_scalars_and_nesting() {
-        let v = JsonValue::parse(r#"{"a":[1,-2.5,true,null],"b":{"c":"x\ny"}}"#).unwrap();
-        assert_eq!(
-            v.get("a").unwrap(),
-            &JsonValue::Arr(vec![
-                JsonValue::Num(1.0),
-                JsonValue::Num(-2.5),
-                JsonValue::Bool(true),
-                JsonValue::Null,
-            ])
-        );
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
-    }
-
-    #[test]
-    fn round_trips_the_emitter() {
-        let mut o = JsonObj::new();
-        o.str("name", "mol\"dyn\\")
-            .u64("heap_mb", 32)
-            .bool("ok", true)
-            .f64("x", -1.5);
-        let text = o.finish();
-        let v = JsonValue::parse(&text).unwrap();
-        assert_eq!(v.get("name").unwrap().as_str(), Some("mol\"dyn\\"));
-        assert_eq!(v.get("heap_mb").unwrap().as_u64(), Some(32));
-        assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)));
-        assert_eq!(v.get("x"), Some(&JsonValue::Num(-1.5)));
-    }
-
-    #[test]
-    fn unicode_escapes_decode() {
-        let v = JsonValue::parse(r#""\u0041\u00e9""#).unwrap();
-        assert_eq!(v.as_str(), Some("Aé"));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\"}",
-            "tru",
-            "01a",
-            "\"\\x\"",
-            "{\"a\":1}x",
-            "nan",
-            "\"\u{1}\"",
-        ] {
-            assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
-        }
-        // Nesting bomb is cut off, not a stack overflow.
-        let deep = "[".repeat(500) + &"]".repeat(500);
-        assert!(JsonValue::parse(&deep).is_err());
-    }
-
-    #[test]
     fn parses_a_run_request_with_defaults() {
         let req = parse_request(r#"{"op":"run","id":"r1","tenant":"alice","benchmark":"_209_db"}"#)
             .unwrap();
@@ -812,6 +506,28 @@ mod tests {
         assert_eq!(plan.fail_alloc_at, Some(1));
         assert_eq!(plan.seed, 9);
         assert_eq!(run.config.scale, InputScale::Reduced);
+    }
+
+    #[test]
+    fn integer_fields_are_exact_over_the_whole_u64_range() {
+        let seed_of = |seed: &str| {
+            let line = format!(
+                r#"{{"op":"run","id":"r","tenant":"t","benchmark":"m","heap_mb":32,"seed":{seed}}}"#
+            );
+            parse_request(&line).map(|req| {
+                let Request::Run(run) = req else {
+                    panic!("expected run")
+                };
+                assert_eq!(run.config.heap_mb, 32);
+                run.plan.expect("a seed makes a plan").seed
+            })
+        };
+        // 2^53 + 1 is the first integer an f64 cannot hold.
+        assert_eq!(seed_of("9007199254740993").unwrap(), (1 << 53) + 1);
+        assert_eq!(seed_of("18446744073709551615").unwrap(), u64::MAX);
+        // 2^64 is out of range: refused, not saturated to u64::MAX.
+        let err = seed_of("18446744073709551616").expect_err("2^64 is out of range");
+        assert_eq!(err.0, ErrorCode::BadRequest);
     }
 
     #[test]
@@ -913,11 +629,11 @@ mod tests {
     #[test]
     fn response_lines_are_parseable_json() {
         let e = error_line(Some("r1"), ErrorCode::QueueFull, "busy");
-        let v = JsonValue::parse(&e).unwrap();
+        let v = json::parse(&e).unwrap();
         assert_eq!(v.get("code").unwrap().as_str(), Some("queue_full"));
         assert_eq!(v.get("ok"), Some(&JsonValue::Bool(false)));
         let a = accepted_line("r1", 3);
-        let v = JsonValue::parse(&a).unwrap();
+        let v = json::parse(&a).unwrap();
         assert_eq!(v.get("queue_depth").unwrap().as_u64(), Some(3));
     }
 
@@ -929,7 +645,7 @@ mod tests {
         let a = result_line("id-1", &summary);
         let b = result_line("id-1", &summary);
         assert_eq!(a, b);
-        let v = JsonValue::parse(&a).unwrap();
+        let v = json::parse(&a).unwrap();
         assert_eq!(v.get("kind").unwrap().as_str(), Some("result"));
         assert_eq!(v.get("benchmark").unwrap().as_str(), Some("_209_db"));
         assert!(v.get("total_energy_j").is_some());

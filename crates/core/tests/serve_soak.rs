@@ -21,7 +21,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use vmprobe::serve::protocol::{observe_line, result_line, JsonValue};
+use vmprobe::json::{self, JsonValue};
+use vmprobe::serve::protocol::{observe_line, result_line};
 use vmprobe::{ExperimentConfig, ObserveEngine, Runner, VmChoice};
 use vmprobe_heap::CollectorKind;
 use vmprobe_workloads::InputScale;
@@ -90,7 +91,7 @@ impl Client {
             let n = self.reader.read_line(&mut line).expect("read line");
             assert!(n > 0, "daemon hung up while waiting for {kinds:?}");
             let line = line.trim_end().to_owned();
-            let v = JsonValue::parse(&line).expect("daemon speaks JSON");
+            let v = json::parse(&line).expect("daemon speaks JSON");
             let kind = v.get("kind").and_then(JsonValue::as_str).unwrap_or("");
             if kinds.contains(&kind) {
                 return (line, v);

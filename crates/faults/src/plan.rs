@@ -7,7 +7,7 @@ use std::fmt;
 /// `Copy` on purpose: the plan rides inside `VmConfig` and experiment
 /// configs, and a plan plus its seed fully determines the injected fault
 /// sequence. Probabilities are per-sampling-instant; rates are relative.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Root seed; subsystems derive independent streams from it.
     pub seed: u64,

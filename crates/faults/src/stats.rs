@@ -9,7 +9,7 @@
 /// here. By the triangle inequality the total measured energy then differs
 /// from the clean energy by at most [`FaultStats::energy_error_bound_j`] —
 /// an exact, checkable bound, not an estimate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultStats {
     /// Due sampling instants the DAQ processed (including faulted ones).
     pub samples_total: u64,

@@ -6,7 +6,6 @@
 //! never need forwarding) while preserving exactly what the platform model
 //! cares about: which addresses the mutator and collector touch.
 
-use serde::{Deserialize, Serialize};
 use vmprobe_platform::Addr;
 
 use crate::plan::Space;
@@ -16,7 +15,7 @@ use crate::plan::Space;
 pub const OBJECT_HEADER_BYTES: u32 = 16;
 
 /// Stable handle to a heap object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjId(pub u32);
 
 impl std::fmt::Display for ObjId {
@@ -26,7 +25,7 @@ impl std::fmt::Display for ObjId {
 }
 
 /// What kind of heap object a slot holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjKind {
     /// A class instance; the payload layout is `refs ++ prims`.
     Instance {
@@ -47,7 +46,7 @@ pub(crate) const FLAG_IN_REMSET: u8 = 0b0000_0001;
 ///
 /// Fields are crate-private; the collectors mutate address/space/mark state
 /// directly, while the runtime goes through [`ObjectHeap`] accessors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Object {
     pub(crate) addr: Addr,
     pub(crate) size: u32,

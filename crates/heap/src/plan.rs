@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use vmprobe_platform::{Exec, HEAP_BASE, VM_BASE};
 
 use crate::{
@@ -10,7 +9,7 @@ use crate::{
 };
 
 /// Which space within a plan's heap layout an object currently occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Space {
     /// The generational nursery.
     Nursery,
@@ -22,7 +21,7 @@ pub enum Space {
 }
 
 /// Parameters of one allocation request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocRequest {
     /// Kind of object to create.
     pub kind: ObjKind,
@@ -184,7 +183,7 @@ pub trait CollectorPlan {
 }
 
 /// The collectors studied by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectorKind {
     /// Non-generational copying collector with two semispaces.
     SemiSpace,

@@ -1,9 +1,7 @@
 //! Collection statistics, per-collection and cumulative.
 
-use serde::{Deserialize, Serialize};
-
 /// What kind of collection a plan performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectionKind {
     /// Nursery-only collection of a generational plan.
     Minor,
@@ -14,7 +12,7 @@ pub enum CollectionKind {
 }
 
 /// Outcome of one `collect` (or completed increment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollectionStats {
     /// Kind of collection performed.
     pub kind: CollectionKind,
@@ -33,7 +31,7 @@ pub struct CollectionStats {
 }
 
 /// Cumulative collector statistics over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStats {
     /// Total collections (minor + major + completed incremental cycles).
     pub collections: u64,

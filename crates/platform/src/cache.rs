@@ -1,11 +1,9 @@
 //! Set-associative LRU cache simulation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Addr;
 
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Human-readable level name ("L1D", "L2", ...).
     pub name: &'static str,
@@ -25,7 +23,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss counters for one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total accesses.
     pub accesses: u64,

@@ -1,11 +1,9 @@
 //! CPU timing specifications for the two boards the paper instruments.
 
-use serde::{Deserialize, Serialize};
-
 use crate::CacheConfig;
 
 /// Which hardware platform a [`Machine`](crate::Machine) models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlatformKind {
     /// The paper's "P6": 1.6 GHz Pentium M development board, 32 KB L1I/L1D,
     /// 1 MB on-die L2, 512 MB DDR SDRAM.
@@ -32,7 +30,7 @@ impl std::fmt::Display for PlatformKind {
 /// encode issue width (values below 1.0 on the 3-wide Pentium M). Miss
 /// penalties are effective stall cycles after out-of-order overlap
 /// (`PentiumM`) or in full (`Pxa255`, in-order single-issue).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuSpec {
     /// Which platform these parameters describe.
     pub kind: PlatformKind,

@@ -6,10 +6,8 @@
 //! between-snapshot deltas with the derived rates (IPC, L2 miss rate) the
 //! paper uses to explain component power.
 
-use serde::{Deserialize, Serialize};
-
 /// Live counter file incremented by the [`Machine`](crate::Machine).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Hpm {
     /// Retired instructions (all µops charged by the runtime).
     pub instructions: u64,
@@ -42,7 +40,7 @@ pub struct Hpm {
 }
 
 /// A point-in-time copy of the counter file plus the cycle counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HpmSnapshot {
     /// Cycle count at snapshot time.
     pub cycles: u64,
@@ -179,7 +177,7 @@ impl HpmUnwrapper {
 }
 
 /// Counter movement over a sampling window; input to the power model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HpmDelta {
     /// Elapsed cycles.
     pub cycles: u64,

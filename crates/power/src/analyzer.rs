@@ -6,14 +6,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use vmprobe_faults::FaultStats;
 use vmprobe_platform::{Machine, PlatformKind};
 
 use crate::{ComponentId, Daq, EnergyDelay, Joules, PerfMonitor, Seconds, Watts};
 
 /// Per-component measurement summary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentProfile {
     /// Wall-clock time attributed.
     pub time: Seconds,
@@ -36,7 +35,7 @@ pub struct ComponentProfile {
 }
 
 /// A complete per-run measurement report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// Which platform the run executed on.
     pub platform: PlatformKind,
@@ -60,8 +59,7 @@ pub struct Report {
     pub faults: FaultStats,
     /// Probe-cost ledger: costs charged in non-transparent measurement mode
     /// plus the transition-window misattribution exposure (recorded in
-    /// every mode). Defaults to all-zero for reports predating the field.
-    #[serde(default)]
+    /// every mode).
     pub probe: crate::ProbeStats,
 }
 

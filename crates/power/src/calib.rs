@@ -21,11 +21,10 @@
 //! (Isci & Martonosi; Joseph & Martonosi; Bellosa's event-driven
 //! accounting).
 
-use serde::{Deserialize, Serialize};
 use vmprobe_platform::PlatformKind;
 
 /// Calibrated coefficients for one platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerCoeffs {
     /// CPU idle (static + clock-tree) power in watts.
     pub cpu_idle_w: f64,

@@ -1,14 +1,12 @@
 //! Virtual-machine component identifiers.
 
-use serde::{Deserialize, Serialize};
-
 /// The software components the instrumentation distinguishes.
 ///
 /// Jikes-style runs use `BaseCompiler`/`OptCompiler` plus `Controller` and
 /// `Scheduler`; Kaffe-style runs use `JitCompiler`. Everything that is not
 /// an instrumented VM service is `Application` (the paper's "App"/mutator),
 /// and `Idle` denotes nothing scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ComponentId {
     /// The running Java application (mutator).
     Application,

@@ -1,7 +1,6 @@
 //! The digital acquisition system: 40 µs power sampling with component
 //! attribution.
 
-use serde::{Deserialize, Serialize};
 use vmprobe_faults::{DetRng, FaultPlan, FaultStats};
 use vmprobe_platform::{HpmSnapshot, HpmUnwrapper, PlatformKind};
 
@@ -28,7 +27,7 @@ pub(crate) fn period_cycles_at(period_s: f64, freq_hz: f64) -> u64 {
 }
 
 /// One recorded sample (kept only when tracing is enabled).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSample {
     /// Simulated time of the sample in seconds.
     pub t: f64,
@@ -41,7 +40,7 @@ pub struct PowerSample {
 }
 
 /// Accumulated measurements for one component.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ComponentPower {
     /// CPU energy attributed to the component.
     pub energy: Joules,
@@ -69,7 +68,7 @@ impl ComponentPower {
 }
 
 /// Aggregated DAQ output for a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DaqReport {
     /// Per-component accumulators, indexed by [`ComponentId::index`].
     pub per_component: Vec<ComponentPower>,
@@ -89,10 +88,8 @@ pub struct DaqReport {
     /// Sampling windows that contained at least one component-port write
     /// (the whole window is attributed to whoever holds the port at the
     /// sample instant, so these windows bound the quantization error).
-    #[serde(default)]
     pub transition_windows: u64,
     /// Clean (CPU + DRAM) energy of those transition windows, in joules.
-    #[serde(default)]
     pub transition_energy_j: f64,
 }
 

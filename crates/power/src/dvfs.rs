@@ -17,13 +17,12 @@
 //!   performance than compute-bound ones, which is exactly the lever
 //!   event-driven DVFS policies exploit.
 
-use serde::Serialize;
 use vmprobe_platform::PlatformKind;
 
 use crate::PowerCoeffs;
 
 /// One DVFS operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvfsPoint {
     /// Human-readable name ("1.6 GHz", "600 MHz", ...).
     pub name: &'static str,

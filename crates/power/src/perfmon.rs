@@ -7,13 +7,12 @@
 //! raw material for the offline per-component IPC / L2-miss-rate statistics
 //! in the paper's Section VI-C.
 
-use serde::{Deserialize, Serialize};
 use vmprobe_platform::{HpmDelta, HpmSnapshot, HpmUnwrapper, PlatformKind};
 
 use crate::ComponentId;
 
 /// One OS-timer performance sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfRecord {
     /// Simulated time of the sample in seconds.
     pub t: f64,

@@ -31,7 +31,6 @@
 //! quantization error, and it shrinks as the sampling period shrinks toward
 //! the transition scale.
 
-use serde::{Deserialize, Serialize};
 use vmprobe_platform::PlatformKind;
 
 use crate::daq::DAQ_PERIOD_S;
@@ -61,7 +60,7 @@ pub fn hpm_read_stall_cycles(kind: PlatformKind) -> f64 {
 /// The default spec — 40 µs period, transparent — is the classic rig and
 /// must leave every byte of existing output unchanged; anything else marks
 /// the experiment's cache key so perturbed results never alias clean ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProbeSpec {
     /// DAQ sampling period in nanoseconds.
     pub daq_period_ns: u64,
@@ -129,7 +128,7 @@ impl ProbeSpec {
 /// The cost fields are zero for transparent runs; the transition fields are
 /// filled in every mode (tracking them mutates only DAQ-side counters, never
 /// the machine, so transparent trajectories stay bit-identical).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ProbeStats {
     /// Component-ID register stores charged through the cache hierarchy.
     pub port_stores: u64,

@@ -11,15 +11,13 @@
 //! `C·dT/dt = P − (T − T_amb)/R`, with the fan toggling the convection
 //! resistance `R`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Celsius, Seconds, Watts};
 
 /// Thermal-circuit parameters.
 ///
 /// Defaults are calibrated to Figure 1: steady ~60 °C at ~13 W with the fan
 /// on; trip at 99 °C after ~240 s with the fan off.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalConfig {
     /// Ambient temperature.
     pub ambient_c: f64,
@@ -52,7 +50,7 @@ impl Default for ThermalConfig {
 }
 
 /// A point on the thermal trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalState {
     /// Elapsed time.
     pub t: Seconds,

@@ -8,13 +8,11 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! unit {
     ($(#[$doc:meta])* $name:ident, $unit:literal, $accessor:ident) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, PartialOrd, Default,
         )]
         pub struct $name(f64);
 

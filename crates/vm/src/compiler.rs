@@ -16,7 +16,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use vmprobe_bytecode::{MethodId, Program};
 use vmprobe_platform::{Exec, CODE_BASE, VM_BASE};
 
@@ -24,7 +23,7 @@ use crate::rir::{lower, RirBody};
 use crate::Meter;
 
 /// Compilation state of a method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// Never executed yet.
     Uncompiled,
@@ -96,7 +95,7 @@ pub struct MethodRuntime {
 }
 
 /// Counters for the compilation subsystem.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompilerStats {
     /// Methods baseline-compiled.
     pub baseline_compiles: u64,

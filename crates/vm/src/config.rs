@@ -1,13 +1,12 @@
 //! Virtual-machine configuration.
 
-use serde::Serialize;
 use vmprobe_faults::FaultPlan;
 use vmprobe_heap::CollectorKind;
 use vmprobe_platform::PlatformKind;
 use vmprobe_power::{DvfsPoint, ProbeSpec};
 
 /// Which of the paper's two virtual machines this runtime imitates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Personality {
     /// IBM Jikes RVM 2.4.1 style: baseline compilation on first invocation,
     /// adaptive recompilation of hot methods by an optimizing compiler on a
@@ -46,7 +45,7 @@ impl std::fmt::Display for Personality {
 ///     .trace_power(true);
 /// assert_eq!(cfg.heap_bytes, 4 << 20);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmConfig {
     /// VM behaviour profile.
     pub personality: Personality,

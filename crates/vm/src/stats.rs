@@ -1,9 +1,7 @@
 //! Execution statistics for a VM run.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by the interpreter and runtime services.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VmStats {
     /// Bytecodes executed.
     pub bytecodes: u64,

@@ -1,14 +1,13 @@
 //! Benchmark blueprints: declarative resource profiles turned into
 //! executable programs.
 
-use serde::{Deserialize, Serialize};
 use vmprobe_bytecode::{ArrKind, Program, ProgramBuilder, Ty};
 
 use crate::synth;
 
 /// Input-set scaling, mirroring the paper's use of SpecJVM98 `-s100` on
 /// the P6 and `-s10` on the memory-constrained PXA255 board.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InputScale {
     /// Full data set (`-s100` / DaCapo default / JGF size A).
     Full,
@@ -49,7 +48,7 @@ impl InputScale {
 /// * `hot_kernels` — distinct hot methods (adaptive-compiler activity);
 /// * `app_classes`/`class_padding` — class-count and class-file footprint
 ///   (class-loader cost).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Blueprint {
     /// Benchmark phases (outer iterations).
     pub phases: u32,

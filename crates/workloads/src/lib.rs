@@ -39,11 +39,10 @@ mod synth;
 pub use blueprint::{build_program, Blueprint, InputScale};
 pub use synth::StdLib;
 
-use serde::{Deserialize, Serialize};
 use vmprobe_bytecode::Program;
 
 /// Which published suite a benchmark belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SpecJVM98 (seven applications).
     SpecJvm98,
