@@ -52,11 +52,9 @@ pub struct Cache {
     cfg: CacheConfig,
     sets: u32,
     line_shift: u32,
-    /// `sets * ways` tags; `u64::MAX` marks an invalid way.
+    /// `sets * ways` tags, each set most recently used first; `u64::MAX`
+    /// marks an invalid way, which stays at the tail and is refilled first.
     tags: Vec<u64>,
-    /// Per-line last-use stamp for LRU.
-    stamps: Vec<u64>,
-    clock: u64,
     stats: CacheStats,
 }
 
@@ -85,8 +83,6 @@ impl Cache {
             sets,
             line_shift: cfg.line_bytes.trailing_zeros(),
             tags: vec![u64::MAX; n],
-            stamps: vec![0; n],
-            clock: 0,
             stats: CacheStats::default(),
         }
     }
@@ -99,29 +95,18 @@ impl Cache {
     /// Access the line containing `addr`, updating LRU state; returns `true`
     /// on hit. On miss the line is allocated, evicting the LRU way.
     pub fn access(&mut self, addr: Addr) -> bool {
-        self.clock += 1;
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
         let set = (line as u32) & (self.sets - 1);
         let base = (set * self.cfg.ways) as usize;
-        let ways = self.cfg.ways as usize;
-
-        let mut victim = base;
-        let mut victim_stamp = u64::MAX;
-        for i in base..base + ways {
-            if self.tags[i] == line {
-                self.stamps[i] = self.clock;
-                return true;
-            }
-            if self.stamps[i] < victim_stamp {
-                victim_stamp = self.stamps[i];
-                victim = i;
-            }
-        }
-        self.stats.misses += 1;
-        self.tags[victim] = line;
-        self.stamps[victim] = self.clock;
-        false
+        let ways = &mut self.tags[base..base + self.cfg.ways as usize];
+        // Move the line to the front; a miss shifts the whole set back,
+        // dropping the least recent way off the end.
+        let hit = ways.iter().position(|&t| t == line);
+        ways.copy_within(0..hit.unwrap_or(ways.len() - 1), 1);
+        ways[0] = line;
+        self.stats.misses += u64::from(hit.is_none());
+        hit.is_some()
     }
 
     /// Probe whether `addr` is resident without touching LRU state or stats.
@@ -135,7 +120,6 @@ impl Cache {
     /// Invalidate every line (e.g. on simulated context loss).
     pub fn flush(&mut self) {
         self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
     }
 
     /// Accumulated hit/miss counters.

@@ -81,6 +81,11 @@ impl Machine {
         self.cycles as u64
     }
 
+    /// Untruncated cycles; `>= n as f64` matches `cycles() >= n` for `n < 2⁵³`.
+    pub fn raw_cycles(&self) -> f64 {
+        self.cycles
+    }
+
     /// Elapsed simulated wall-clock time in seconds.
     pub fn now(&self) -> f64 {
         self.cycles / self.spec.freq_hz

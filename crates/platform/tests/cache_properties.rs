@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
-use vmprobe_platform::{Cache, CacheConfig, Machine, PlatformKind};
+use vmprobe_platform::{Cache, CacheConfig, CacheStats, CpuSpec, Machine, PlatformKind};
 
 /// Reference model: per-set recency queues, most recent at the back.
 struct RefLru {
@@ -41,6 +41,10 @@ impl RefLru {
             false
         }
     }
+
+    fn flush(&mut self) {
+        self.queues.iter_mut().for_each(VecDeque::clear);
+    }
 }
 
 fn small_config() -> CacheConfig {
@@ -53,23 +57,31 @@ fn small_config() -> CacheConfig {
 }
 
 proptest! {
+    /// Toy and shipped geometries, sequential or same-set bursts, flushed halfway.
     #[test]
-    fn cache_matches_reference_lru(addrs in prop::collection::vec(0u64..4096, 1..600)) {
-        let cfg = small_config();
-        let mut cache = Cache::new(cfg);
-        let mut oracle = RefLru::new(cfg);
-        for (i, &a) in addrs.iter().enumerate() {
-            let hit = cache.access(a);
-            let expect = oracle.access(a);
-            prop_assert_eq!(hit, expect, "divergence at access {} (addr {:#x})", i, a);
+    fn cache_matches_reference_lru(
+        bursts in prop::collection::vec((0u64..4096, any::<bool>(), 1u64..49, 1u64..97), 1..40),
+    ) {
+        let (p6, pxa) = (CpuSpec::of(PlatformKind::PentiumM), CpuSpec::of(PlatformKind::Pxa255));
+        for cfg in [small_config(), p6.l1d, p6.l2.expect("P6 has an L2"), pxa.l1d] {
+            let (line, cycle) = (u64::from(cfg.line_bytes), u64::from(cfg.ways) * 3 / 2);
+            let (mut cache, mut oracle, mut misses) = (Cache::new(cfg), RefLru::new(cfg), 0);
+            for (i, &(start, same_set, span, len)) in bursts.iter().enumerate() {
+                if i == bursts.len() / 2 {
+                    cache.flush();
+                    oracle.flush();
+                }
+                let stride = if same_set { u64::from(cfg.sets()) * line } else { line };
+                for k in 0..len {
+                    let a = start * line + (k % span.min(cycle)) * stride;
+                    let hit = cache.access(a);
+                    prop_assert_eq!(hit, oracle.access(a), "{} at {:#x}", cfg.name, a);
+                    misses += u64::from(!hit);
+                }
+            }
+            let accesses = bursts.iter().map(|b| b.3).sum();
+            prop_assert_eq!(cache.stats(), CacheStats { accesses, misses });
         }
-        // Stats agree with the replayed outcomes.
-        let misses = {
-            let mut o2 = RefLru::new(cfg);
-            addrs.iter().filter(|&&a| !o2.access(a)).count() as u64
-        };
-        prop_assert_eq!(cache.stats().accesses, addrs.len() as u64);
-        prop_assert_eq!(cache.stats().misses, misses);
     }
 
     #[test]

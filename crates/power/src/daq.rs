@@ -111,13 +111,13 @@ impl DaqReport {
 
 /// The sampling DAQ.
 ///
-/// The measurement driver calls [`Daq::observe`] after every charged unit of
-/// work; the call is a no-op (one integer compare) until the machine's cycle
-/// counter crosses the next 40 µs boundary, at which point the window's HPM
-/// delta is converted to power and attributed to the component currently on
-/// the port — reproducing the paper's quantization: a component switch
-/// *inside* the window is invisible, and the whole window goes to whoever
-/// holds the port at sampling time.
+/// The measurement driver polls a float copy of [`Daq::next_due_cycles`]
+/// after every charged unit of work and calls [`Daq::observe`] once the cycle
+/// counter crosses the next 40 µs boundary: the window's HPM delta is then
+/// converted to power and attributed to the component currently on the port
+/// — reproducing the paper's quantization: a component switch *inside* the
+/// window is invisible, and the whole window goes to whoever holds the port
+/// at sampling time.
 #[derive(Debug, Clone)]
 pub struct Daq {
     model: PowerModel,

@@ -42,7 +42,7 @@ pub struct Meter {
     daq: Daq,
     perf: PerfMonitor,
     io_cycles: f64,
-    next_probe: u64,
+    next_probe: f64,
     spans: Option<SpanTrace>,
     /// Measurement mode: sampling period and probe transparency.
     probe: ProbeSpec,
@@ -106,7 +106,7 @@ impl Meter {
         } else {
             perf
         };
-        let next_probe = daq.next_due_cycles().min(perf.next_due_cycles());
+        let next_probe = Self::deadline(daq.next_due_cycles().min(perf.next_due_cycles()));
         Self {
             machine: Machine::from_spec(spec),
             port: ComponentPort::new(),
@@ -123,6 +123,13 @@ impl Meter {
             hpm_reads_paid: 0,
             cycles_paid: 0,
         }
+    }
+
+    /// Cycle `n` as the `f64` deadline the sample and quantum polls compare
+    /// [`Machine::raw_cycles`] against, which is exact below 2⁵³.
+    pub(crate) fn deadline(n: u64) -> f64 {
+        debug_assert!(n < 1 << 53, "cycle deadline {n} is not exact as f64");
+        n as f64
     }
 
     /// Start recording component enter/exit spans on the virtual cycle
@@ -260,35 +267,42 @@ impl Meter {
 
     #[inline]
     fn maybe_sample(&mut self) {
-        if self.machine.cycles() >= self.next_probe {
-            let snap = self.machine.snapshot();
-            let c = self.port.current();
-            // Which monitors actually fire at this snapshot (observe() is a
-            // no-op for the one whose deadline has not arrived).
-            let daq_fired = snap.cycles >= self.daq.next_due_cycles();
-            let perf_fired = snap.cycles >= self.perf.next_due_cycles();
-            self.daq.observe(&snap, c);
-            self.perf.observe(&snap, c);
-            if self.probe.nontransparent {
-                // Probe costs are charged *after* the sample commits — the
-                // handler's own work lands in the next window, exactly like
-                // an ISR running with further sampling masked.
-                if daq_fired {
-                    self.pay_daq_sample();
-                }
-                if perf_fired {
-                    self.pay_hpm_read();
-                }
-            }
-            self.next_probe = self.daq.next_due_cycles().min(self.perf.next_due_cycles());
+        if self.machine.raw_cycles() >= self.next_probe {
+            self.sample();
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn sample(&mut self) {
+        let snap = self.machine.snapshot();
+        let c = self.port.current();
+        // Which monitors actually fire at this snapshot (observe() is a
+        // no-op for the one whose deadline has not arrived).
+        let daq_fired = snap.cycles >= self.daq.next_due_cycles();
+        let perf_fired = snap.cycles >= self.perf.next_due_cycles();
+        self.daq.observe(&snap, c);
+        self.perf.observe(&snap, c);
+        if self.probe.nontransparent {
+            // Probe costs are charged *after* the sample commits — the
+            // handler's own work lands in the next window, exactly like
+            // an ISR running with further sampling masked.
+            if daq_fired {
+                self.pay_daq_sample();
+            }
+            if perf_fired {
+                self.pay_hpm_read();
+            }
+        }
+        self.next_probe =
+            Self::deadline(self.daq.next_due_cycles().min(self.perf.next_due_cycles()));
     }
 
     /// Drain any sample that is due right now (call at run end so the final
     /// partial window is not lost).
     pub fn flush_samples(&mut self) {
         // Force one final observation by stalling to the next boundary.
-        let due = self.next_probe.saturating_sub(self.machine.cycles());
+        let due = (self.next_probe as u64).saturating_sub(self.machine.cycles());
         if due > 0 {
             self.machine.stall(due as f64);
         }
@@ -516,6 +530,31 @@ mod tests {
             fine > 5 * classic,
             "4 µs sampling ({fine}) should far outnumber 40 µs ({classic})"
         );
+    }
+
+    #[test]
+    fn float_poll_fires_exactly_where_the_integer_rule_does() {
+        // 1.15-cycle ops leave the accumulator fractional at every boundary;
+        // 4000-cycle stalls land exactly on the DAQ and OS-timer boundaries.
+        let fractional: fn(&mut dyn Exec) = |e| e.int_ops(1);
+        let exact: fn(&mut dyn Exec) = |e| e.stall(4000.0);
+        let kind = PlatformKind::Pxa255;
+        for (work, steps) in [(fractional, 4_000_000), (exact, 2_000)] {
+            let mut meter = Meter::new(kind, false);
+            let (mut m, mut daq, mut perf) =
+                (Machine::new(kind), Daq::new(kind), PerfMonitor::new(kind));
+            for _ in 0..steps {
+                work(&mut meter);
+                work(&mut m);
+                if m.cycles() >= daq.next_due_cycles().min(perf.next_due_cycles()) {
+                    daq.observe(&m.snapshot(), meter.port().current());
+                    perf.observe(&m.snapshot(), meter.port().current());
+                }
+            }
+            assert_eq!(meter.daq().report(), daq.report());
+            assert_eq!(meter.perf().records(), perf.records());
+            assert!(!perf.records().is_empty());
+        }
     }
 
     #[test]

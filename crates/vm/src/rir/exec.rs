@@ -50,7 +50,7 @@ impl Vm {
         }
 
         loop {
-            if self.meter.cycles() >= self.next_quantum {
+            if self.meter.machine().raw_cycles() >= self.next_quantum {
                 self.quantum();
             }
             let pc = frame.pc as usize;

@@ -150,7 +150,7 @@ pub struct Vm {
     pub(crate) statics: Vec<Value>,
     pub(crate) frames: Vec<Frame>,
     pub(crate) stats: VmStats,
-    pub(crate) next_quantum: u64,
+    pub(crate) next_quantum: f64,
     /// Bytecode count at which the run aborts (`u64::MAX` when no budget).
     pub(crate) step_budget: u64,
     /// Allocation count at which heap exhaustion is forced (`u64::MAX`
@@ -210,7 +210,7 @@ impl Vm {
                 required_bytes: e.required_bytes,
                 actual_bytes: e.actual_bytes,
             })?;
-        let next_quantum = config.quantum_cycles;
+        let next_quantum = Meter::deadline(config.quantum_cycles);
         Ok(Self {
             program: Arc::new(program),
             config,
@@ -325,7 +325,7 @@ impl Vm {
         }
 
         loop {
-            if self.meter.cycles() >= self.next_quantum {
+            if self.meter.machine().raw_cycles() >= self.next_quantum {
                 self.quantum();
             }
             let pc = frame.pc as usize;
@@ -958,7 +958,7 @@ impl Vm {
     /// Scheduler quantum: timer tick, controller activation, one optimizing
     /// compilation if queued.
     pub(crate) fn quantum(&mut self) {
-        self.next_quantum = self.meter.cycles() + self.config.quantum_cycles;
+        self.next_quantum = Meter::deadline(self.meter.cycles() + self.config.quantum_cycles);
         self.stats.quanta += 1;
 
         self.meter.enter(ComponentId::Scheduler);
