@@ -17,7 +17,7 @@
 //!   current roots and completes the trace before sweeping, so no object
 //!   reachable at sweep time is ever reclaimed.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use vmprobe_platform::Exec;
 
@@ -40,6 +40,31 @@ enum Phase {
     Marking { queue: VecDeque<ObjId> },
 }
 
+/// Live objects sorted by start address, built for one root scan.
+struct AddrIndex(Vec<(u64, ObjId, u32)>);
+
+impl AddrIndex {
+    fn new(heap: &ObjectHeap) -> Self {
+        let mut v: Vec<_> = heap
+            .iter_ids()
+            .map(|id| {
+                let o = heap.get(id);
+                (o.addr(), id, o.size())
+            })
+            .collect();
+        v.sort_unstable_by_key(|&(addr, ..)| addr);
+        Self(v)
+    }
+
+    /// The object whose cell contains `word`: the last one starting at or
+    /// below it, if `word` is inside that object's cell.
+    fn target(&self, word: u64) -> Option<ObjId> {
+        let i = self.0.partition_point(|&(addr, ..)| addr <= word);
+        let &(addr, id, size) = self.0.get(i.checked_sub(1)?)?;
+        (word < addr + SegregatedFreeList::cell_size(size)).then_some(id)
+    }
+}
+
 /// Kaffe-style incremental conservative mark-sweep plan.
 #[derive(Debug, Clone)]
 pub struct KaffeIncremental {
@@ -47,8 +72,6 @@ pub struct KaffeIncremental {
     fl: SegregatedFreeList,
     epoch: u32,
     phase: Phase,
-    /// Start-address index for conservative pointer identification.
-    addr_index: BTreeMap<u64, (ObjId, u32)>,
     trigger_bytes: u64,
     stats: GcStats,
 }
@@ -67,7 +90,6 @@ impl KaffeIncremental {
             fl: SegregatedFreeList::new(heap_region(0), heap_bytes),
             epoch: 0,
             phase: Phase::Idle,
-            addr_index: BTreeMap::new(),
             trigger_bytes: (heap_bytes as f64 * TRIGGER_FRACTION) as u64,
             stats: GcStats::default(),
         }
@@ -97,13 +119,6 @@ impl KaffeIncremental {
         matches!(self.phase, Phase::Marking { .. })
     }
 
-    /// Resolve an ambiguous word to the object whose cell contains it.
-    fn conservative_target(&self, word: u64) -> Option<ObjId> {
-        let (&addr, &(id, size)) = self.addr_index.range(..=word).next_back()?;
-        let cell = SegregatedFreeList::cell_size(size);
-        (word < addr + cell).then_some(id)
-    }
-
     /// Seed the mark queue from precise and ambiguous roots.
     fn seed_roots(
         &mut self,
@@ -119,10 +134,16 @@ impl KaffeIncremental {
                 queue.push_back(r);
             }
         }
-        // Conservative scan: each raw word costs a range lookup.
+        if roots.ambiguous.is_empty() {
+            return;
+        }
+        // Conservative scan: each raw word costs a range lookup. The plan is
+        // the only allocator of its heap, so the live objects are exactly
+        // the cells it has handed out and not swept.
+        let index = AddrIndex::new(heap);
         for &w in &roots.ambiguous {
             exec.int_ops(4);
-            if let Some(id) = self.conservative_target(w) {
+            if let Some(id) = index.target(w) {
                 if mark(heap, id, epoch) {
                     queue.push_back(id);
                 }
@@ -182,7 +203,6 @@ impl KaffeIncremental {
                 live_bytes += u64::from(size);
             } else {
                 self.fl.free(addr, size);
-                self.addr_index.remove(&addr);
                 heap.remove(id);
                 freed_objects += 1;
                 freed_bytes += u64::from(size);
@@ -258,7 +278,6 @@ impl CollectorPlan for KaffeIncremental {
             req.ref_len,
             req.prim_len,
         ));
-        self.addr_index.insert(addr, (id, size));
         // Allocate black during a marking cycle.
         if self.is_marking() {
             heap.get_mut(id).mark_epoch = self.epoch;
@@ -390,6 +409,98 @@ mod tests {
         };
         plan.collect(&mut heap, &roots, &mut m);
         assert!(!heap.contains(a));
+    }
+
+    /// Collect with only `words` as (ambiguous) roots.
+    fn collect_ambiguous(
+        heap: &mut ObjectHeap,
+        plan: &mut KaffeIncremental,
+        m: &mut Machine,
+        words: Vec<u64>,
+    ) -> CollectionStats {
+        let roots = RootSet {
+            refs: vec![],
+            ambiguous: words,
+        };
+        plan.collect(heap, &roots, m)
+    }
+
+    #[test]
+    fn word_in_cell_slack_pins_object() {
+        let (mut heap, mut plan, mut m) = setup(64 << 10);
+        // 16 + 3 * 8 = 40 bytes in a 48-byte cell: bytes 40..48 are slack.
+        let a = plan
+            .alloc(&mut heap, AllocRequest::instance(0, 0, 3), &mut m)
+            .unwrap();
+        let (addr, size) = (heap.get(a).addr(), heap.get(a).size());
+        assert_eq!(SegregatedFreeList::cell_size(size), 48);
+        // The header word pins too, as does any interior word.
+        for w in [addr, addr + u64::from(size), addr + 47] {
+            let s = collect_ambiguous(&mut heap, &mut plan, &mut m, vec![w]);
+            assert_eq!(s.freed_objects, 0, "word {w:#x} in the cell must pin");
+            assert!(heap.contains(a));
+        }
+    }
+
+    #[test]
+    fn word_at_cell_end_does_not_pin() {
+        let (mut heap, mut plan, mut m) = setup(64 << 10);
+        let a = plan
+            .alloc(&mut heap, AllocRequest::instance(0, 0, 3), &mut m)
+            .unwrap();
+        let end = heap.get(a).addr() + SegregatedFreeList::cell_size(heap.get(a).size());
+        let s = collect_ambiguous(&mut heap, &mut plan, &mut m, vec![end]);
+        assert_eq!(s.freed_objects, 1);
+        assert!(!heap.contains(a));
+    }
+
+    #[test]
+    fn word_below_lowest_object_does_not_pin() {
+        let (mut heap, mut plan, mut m) = setup(64 << 10);
+        let a = plan
+            .alloc(&mut heap, AllocRequest::instance(0, 0, 3), &mut m)
+            .unwrap();
+        let below = heap.get(a).addr() - 1;
+        let s = collect_ambiguous(&mut heap, &mut plan, &mut m, vec![below]);
+        assert_eq!(s.freed_objects, 1);
+        assert!(!heap.contains(a));
+    }
+
+    #[test]
+    fn swept_object_no_longer_pins_its_address() {
+        let (mut heap, mut plan, mut m) = setup(64 << 10);
+        // `p` sits just below `a`, in a different size class, so `a`'s cell
+        // cannot be reused by the later allocation of `p`'s class.
+        let p = plan
+            .alloc(&mut heap, AllocRequest::instance(0, 0, 1), &mut m)
+            .unwrap();
+        let a = plan
+            .alloc(&mut heap, AllocRequest::instance(0, 0, 3), &mut m)
+            .unwrap();
+        let a_addr = heap.get(a).addr();
+        let keep = RootSet::from_refs(vec![p]);
+        plan.collect(&mut heap, &keep, &mut m);
+        assert!(!heap.contains(a));
+        // An unrooted object allocated after the sweep, in `p`'s class.
+        let d = plan
+            .alloc(&mut heap, AllocRequest::instance(0, 0, 1), &mut m)
+            .unwrap();
+        assert_ne!(heap.get(d).addr(), a_addr);
+        let roots = RootSet {
+            refs: vec![p],
+            ambiguous: vec![a_addr, a_addr + 8],
+        };
+        let s = plan.collect(&mut heap, &roots, &mut m);
+        assert_eq!(s.freed_objects, 1);
+        assert!(heap.contains(p) && !heap.contains(d));
+        // Once the cell is reused, the same word pins the new tenant.
+        let b = plan
+            .alloc(&mut heap, AllocRequest::instance(0, 0, 3), &mut m)
+            .unwrap();
+        assert_eq!(heap.get(b).addr(), a_addr);
+        let s = collect_ambiguous(&mut heap, &mut plan, &mut m, vec![a_addr + 8]);
+        assert_eq!(s.freed_objects, 1, "only `p` is unrooted now");
+        assert!(heap.contains(b) && !heap.contains(p));
     }
 
     #[test]

@@ -42,6 +42,19 @@ pub enum ObjKind {
 
 pub(crate) const FLAG_IN_REMSET: u8 = 0b0000_0001;
 
+/// Payload words an object keeps inline; larger payloads are boxed.
+const INLINE_SLOTS: usize = 4;
+
+/// An object's payload: `ref_len` reference slots, each stored as
+/// `id + 1` with 0 for null, followed by the primitive slots.
+#[derive(Debug, Clone, PartialEq)]
+enum Slots {
+    /// Payloads of up to [`INLINE_SLOTS`] words; unused words stay 0.
+    Inline([u64; INLINE_SLOTS]),
+    /// Larger payloads, exactly `ref_len + prim_len` words.
+    Boxed(Box<[u64]>),
+}
+
 /// One live heap object.
 ///
 /// Fields are crate-private; the collectors mutate address/space/mark state
@@ -54,8 +67,9 @@ pub struct Object {
     pub(crate) space: Space,
     pub(crate) mark_epoch: u32,
     pub(crate) flags: u8,
-    pub(crate) refs: Vec<Option<ObjId>>,
-    pub(crate) prims: Vec<u64>,
+    ref_len: u32,
+    prim_len: u32,
+    slots: Slots,
 }
 
 impl Object {
@@ -67,6 +81,7 @@ impl Object {
         ref_len: u32,
         prim_len: u32,
     ) -> Self {
+        let words = ref_len as usize + prim_len as usize;
         Self {
             addr,
             size,
@@ -74,9 +89,40 @@ impl Object {
             space,
             mark_epoch: 0,
             flags: 0,
-            refs: vec![None; ref_len as usize],
-            prims: vec![0; prim_len as usize],
+            ref_len,
+            prim_len,
+            slots: if words <= INLINE_SLOTS {
+                Slots::Inline([0; INLINE_SLOTS])
+            } else {
+                Slots::Boxed(vec![0; words].into_boxed_slice())
+            },
         }
+    }
+
+    fn words(&self) -> &[u64] {
+        match &self.slots {
+            Slots::Inline(w) => w,
+            Slots::Boxed(w) => w,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.slots {
+            Slots::Inline(w) => w,
+            Slots::Boxed(w) => w,
+        }
+    }
+
+    /// Index of reference slot `i` in the payload.
+    fn ref_word(&self, i: usize) -> usize {
+        assert!(i < self.ref_count(), "ref slot {i} out of range");
+        i
+    }
+
+    /// Index of primitive slot `i` in the payload.
+    fn prim_word(&self, i: usize) -> usize {
+        assert!(i < self.prim_count(), "prim slot {i} out of range");
+        self.ref_count() + i
     }
 
     /// Simulated address of the object header.
@@ -101,12 +147,12 @@ impl Object {
 
     /// Number of reference slots (fields or array elements).
     pub fn ref_count(&self) -> usize {
-        self.refs.len()
+        self.ref_len as usize
     }
 
     /// Number of primitive slots.
     pub fn prim_count(&self) -> usize {
-        self.prims.len()
+        self.prim_len as usize
     }
 
     pub(crate) fn in_remset(&self) -> bool {
@@ -218,7 +264,9 @@ impl ObjectHeap {
     ///
     /// Panics on a freed `id` or out-of-range slot.
     pub fn get_ref(&self, id: ObjId, i: usize) -> Option<ObjId> {
-        self.get(id).refs[i]
+        let o = self.get(id);
+        let w = o.words()[o.ref_word(i)];
+        w.checked_sub(1).map(|v| ObjId(v as u32))
     }
 
     /// Write reference slot `i`. The *runtime* is responsible for invoking
@@ -228,7 +276,9 @@ impl ObjectHeap {
     ///
     /// Panics on a freed `id` or out-of-range slot.
     pub fn set_ref(&mut self, id: ObjId, i: usize, v: Option<ObjId>) {
-        self.get_mut(id).refs[i] = v;
+        let o = self.get_mut(id);
+        let w = o.ref_word(i);
+        o.words_mut()[w] = v.map_or(0, |r| u64::from(r.0) + 1);
     }
 
     /// Read primitive slot `i` (raw bits).
@@ -237,7 +287,8 @@ impl ObjectHeap {
     ///
     /// Panics on a freed `id` or out-of-range slot.
     pub fn get_prim(&self, id: ObjId, i: usize) -> u64 {
-        self.get(id).prims[i]
+        let o = self.get(id);
+        o.words()[o.prim_word(i)]
     }
 
     /// Write primitive slot `i` (raw bits).
@@ -246,7 +297,9 @@ impl ObjectHeap {
     ///
     /// Panics on a freed `id` or out-of-range slot.
     pub fn set_prim(&mut self, id: ObjId, i: usize, v: u64) {
-        self.get_mut(id).prims[i] = v;
+        let o = self.get_mut(id);
+        let w = o.prim_word(i);
+        o.words_mut()[w] = v;
     }
 
     /// Iterate over the ids of all live objects.
@@ -328,6 +381,107 @@ mod tests {
         assert_eq!(h.get_ref(a, 0), Some(b));
         assert_eq!(h.get_ref(a, 1), None);
         assert_eq!(h.get_prim(a, 1), 42);
+    }
+
+    fn with_slots(h: &mut ObjectHeap, refs: u32, prims: u32) -> ObjId {
+        let size = OBJECT_HEADER_BYTES + 8 * (refs + prims);
+        h.insert(Object::new(
+            0x1000_0000,
+            size,
+            ObjKind::Instance { class: 0 },
+            Space::Cells,
+            refs,
+            prims,
+        ))
+    }
+
+    /// Fill every slot with a distinct value, then read them all back.
+    fn round_trip(refs: u32, prims: u32) {
+        let mut h = ObjectHeap::new();
+        let o = with_slots(&mut h, refs, prims);
+        let inline = matches!(h.get(o).slots, Slots::Inline(_));
+        assert_eq!(inline, refs + prims <= 4, "{refs}+{prims} slots");
+        assert_eq!(h.get(o).ref_count(), refs as usize);
+        assert_eq!(h.get(o).prim_count(), prims as usize);
+        for i in 0..refs as usize {
+            assert_eq!(h.get_ref(o, i), None, "refs start null");
+            h.set_ref(o, i, Some(ObjId(i as u32)));
+        }
+        for i in 0..prims as usize {
+            assert_eq!(h.get_prim(o, i), 0, "prims start zeroed");
+            h.set_prim(o, i, u64::MAX - i as u64);
+        }
+        for i in 0..refs as usize {
+            assert_eq!(h.get_ref(o, i), Some(ObjId(i as u32)));
+        }
+        for i in 0..prims as usize {
+            assert_eq!(h.get_prim(o, i), u64::MAX - i as u64);
+        }
+        if refs > 0 {
+            h.set_ref(o, 0, None);
+            assert_eq!(h.get_ref(o, 0), None);
+        }
+    }
+
+    #[test]
+    fn payloads_round_trip_across_the_inline_limit() {
+        for (refs, prims) in [
+            (0, 0),
+            (2, 2),
+            (4, 0),
+            (0, 4),
+            (3, 2),
+            (5, 0),
+            (0, 5),
+            (9, 7),
+        ] {
+            round_trip(refs, prims);
+        }
+    }
+
+    #[test]
+    fn object_id_zero_is_not_null() {
+        let mut h = ObjectHeap::new();
+        let o = with_slots(&mut h, 1, 0);
+        h.set_ref(o, 0, Some(ObjId(0)));
+        assert_eq!(h.get_ref(o, 0), Some(ObjId(0)));
+    }
+
+    /// Payload shapes on both sides of the inline limit: inline payloads
+    /// with spare words past the last slot and without, boxed ones with and
+    /// without primitive slots.
+    const SHAPES: [(u32, u32); 6] = [(1, 0), (0, 1), (2, 2), (1, 3), (3, 3), (5, 0)];
+
+    #[test]
+    fn ref_index_past_ref_count_panics_in_both_layouts() {
+        for (refs, prims) in SHAPES {
+            let mut h = ObjectHeap::new();
+            let o = with_slots(&mut h, refs, prims);
+            if prims > 0 {
+                // The word right after the last ref slot.
+                h.set_prim(o, 0, 1);
+            }
+            let i = refs as usize;
+            let read = std::panic::catch_unwind(|| h.get_ref(o, i));
+            assert!(read.is_err(), "get_ref({i}) on {refs}+{prims} slots");
+            let mut h2 = h.clone();
+            let write = std::panic::catch_unwind(move || h2.set_ref(o, i, None));
+            assert!(write.is_err(), "set_ref({i}) on {refs}+{prims} slots");
+        }
+    }
+
+    #[test]
+    fn prim_index_past_prim_count_panics_in_both_layouts() {
+        for (refs, prims) in SHAPES {
+            let mut h = ObjectHeap::new();
+            let o = with_slots(&mut h, refs, prims);
+            let i = prims as usize;
+            let read = std::panic::catch_unwind(|| h.get_prim(o, i));
+            assert!(read.is_err(), "get_prim({i}) on {refs}+{prims} slots");
+            let mut h2 = h.clone();
+            let write = std::panic::catch_unwind(move || h2.set_prim(o, i, 1));
+            assert!(write.is_err(), "set_prim({i}) on {refs}+{prims} slots");
+        }
     }
 
     #[test]

@@ -52,9 +52,12 @@ pub struct Cache {
     cfg: CacheConfig,
     sets: u32,
     line_shift: u32,
-    /// `sets * ways` tags, each set most recently used first; `u64::MAX`
-    /// marks an invalid way, which stays at the tail and is refilled first.
+    /// `sets * ways` tags. Each set is a ring read most recently used first
+    /// from its entry in `heads`; `u64::MAX` marks an invalid way, which
+    /// stays at the logical tail and is refilled first.
     tags: Vec<u64>,
+    /// Physical way holding each set's most recently used line.
+    heads: Vec<u32>,
     stats: CacheStats,
 }
 
@@ -83,6 +86,7 @@ impl Cache {
             sets,
             line_shift: cfg.line_bytes.trailing_zeros(),
             tags: vec![u64::MAX; n],
+            heads: vec![0; sets as usize],
             stats: CacheStats::default(),
         }
     }
@@ -100,13 +104,34 @@ impl Cache {
         let set = (line as u32) & (self.sets - 1);
         let base = (set * self.cfg.ways) as usize;
         let ways = &mut self.tags[base..base + self.cfg.ways as usize];
-        // Move the line to the front; a miss shifts the whole set back,
-        // dropping the least recent way off the end.
-        let hit = ways.iter().position(|&t| t == line);
-        ways.copy_within(0..hit.unwrap_or(ways.len() - 1), 1);
-        ways[0] = line;
-        self.stats.misses += u64::from(hit.is_none());
-        hit.is_some()
+        let head = &mut self.heads[set as usize];
+        let h = *head as usize;
+        if ways[h] == line {
+            return true;
+        }
+        let last = ways.len() - 1;
+        match ways.iter().position(|&t| t == line) {
+            // Shift the lines more recent than the hit back one way, then
+            // put the hit line at the head.
+            Some(hit) => {
+                let mut w = hit;
+                while w != h {
+                    let prev = if w == 0 { last } else { w - 1 };
+                    ways[w] = ways[prev];
+                    w = prev;
+                }
+                ways[h] = line;
+                true
+            }
+            // Step the head back onto the least recent way and overwrite it.
+            None => {
+                let w = if h == 0 { last } else { h - 1 };
+                *head = w as u32;
+                ways[w] = line;
+                self.stats.misses += 1;
+                false
+            }
+        }
     }
 
     /// Probe whether `addr` is resident without touching LRU state or stats.
@@ -171,6 +196,71 @@ mod tests {
         assert!(c.contains(a));
         assert!(!c.contains(b));
         assert!(c.contains(d));
+    }
+
+    /// One set of four 64-byte ways: line `n` is address `n * 64`.
+    fn one_set() -> Cache {
+        Cache::new(CacheConfig {
+            name: "R",
+            size_bytes: 256,
+            ways: 4,
+            line_bytes: 64,
+        })
+    }
+
+    /// The set's lines, most recently used first (`X` = invalid way).
+    fn order(c: &Cache) -> Vec<u64> {
+        let h = c.heads[0] as usize;
+        (0..4).map(|k| c.tags[(h + k) % 4]).collect()
+    }
+
+    const X: u64 = u64::MAX;
+
+    #[test]
+    fn ring_keeps_true_lru_order_across_head_wraps() {
+        let mut c = one_set();
+        // (line, hit?, recency order afterwards, physical head afterwards)
+        let steps: [(u64, bool, [u64; 4], u32); 9] = [
+            // The first miss steps the head back past way 0.
+            (0, false, [0, X, X, X], 3),
+            (1, false, [1, 0, X, X], 2),
+            (0, true, [0, 1, X, X], 2),
+            (2, false, [2, 0, 1, X], 1),
+            (3, false, [3, 2, 0, 1], 0),
+            // The set is full; the next miss wraps again and evicts 1.
+            (4, false, [4, 3, 2, 0], 3),
+            // Line 0 sits in way 2, behind the wrap from way 3 to way 0:
+            // the shift crosses it.
+            (0, true, [0, 4, 3, 2], 3),
+            (2, true, [2, 0, 4, 3], 3),
+            (2, true, [2, 0, 4, 3], 3),
+        ];
+        for (n, hit, want, head) in steps {
+            assert_eq!(c.access(n * 64), hit, "line {n}");
+            assert_eq!(order(&c), want, "after line {n}");
+            assert_eq!(c.heads[0], head, "after line {n}");
+        }
+        // Several more wraps: eight misses move the head twice round.
+        for n in 10..18 {
+            assert!(!c.access(n * 64));
+        }
+        assert_eq!(order(&c), [17, 16, 15, 14]);
+        assert_eq!(c.heads[0], 3);
+        c.flush();
+        assert_eq!(order(&c), [X; 4]);
+        for n in 14..18 {
+            assert!(!c.contains(n * 64), "line {n} survived the flush");
+        }
+        // Refill: invalid ways are used before any valid line is evicted.
+        for n in [20, 21, 22, 23] {
+            assert!(!c.access(n * 64));
+        }
+        assert_eq!(order(&c), [23, 22, 21, 20]);
+        assert!(c.access(20 * 64));
+        assert!(!c.access(24 * 64));
+        assert_eq!(order(&c), [24, 20, 23, 22]);
+        assert_eq!(c.stats().accesses, 9 + 8 + 6);
+        assert_eq!(c.stats().misses, 5 + 8 + 5);
     }
 
     #[test]
